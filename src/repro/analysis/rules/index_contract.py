@@ -121,10 +121,24 @@ class IndexContractRule(Rule):
     )
     default_severity = "error"
 
+    #: ``(project, base name, contract)`` of the last lookup.  The engine
+    #: makes one rule instance per lint run, so this finds the contract
+    #: once per run instead of walking every module once per module.
+    _memo: tuple[Project, str, dict[str, _MethodSig] | None] | None = None
+
+    def _contract(
+        self, project: Project, base_name: str
+    ) -> dict[str, _MethodSig] | None:
+        memo = self._memo
+        if memo is None or memo[0] is not project or memo[1] != base_name:
+            memo = (project, base_name, _find_contract(project, base_name))
+            self._memo = memo
+        return memo[2]
+
     def check(
         self, module: ModuleInfo, project: Project, config: LintConfig
     ) -> Iterable[RawFinding]:
-        contract = _find_contract(project, config.index_base)
+        contract = self._contract(project, config.index_base)
         if contract is None:
             return
         abstract = {s.name for s in contract.values() if s.is_abstract}

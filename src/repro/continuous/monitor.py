@@ -22,7 +22,9 @@ enough to matter is inside ``A_EXT`` already.  Registered queries index
 their ``A_EXT`` rectangles in a bucket grid; each target update probes
 the grid with its old and new positions and marks only the overlapping
 queries dirty.  ``flush()`` recomputes the dirty set and reports answer
-deltas.
+deltas.  Buddy queries (nearest other *user*) read private data only:
+they sit in a grid of their own, which movers probe and target updates
+never do, and a mover whose stored cloak did not change probes nothing.
 
 **Moving clients** get a third path (:meth:`register_knn`): the safe-
 region kNN of :mod:`repro.processor.safe_region` attaches a *validity
@@ -121,8 +123,11 @@ class ContinuousQueryMonitor:
         validity_margin_factor: float = 1.5,
     ) -> None:
         self.casper = casper
-        # Maps query_id -> A_EXT for the spatial join with target updates.
+        # Maps query_id -> A_EXT (or watch region) for the spatial join
+        # with target updates.  Buddy queries read private data only, so
+        # they live in a grid of their own that only movers probe.
         self._regions = GridIndex(casper.bounds, grid_resolution)
+        self._buddy_regions = GridIndex(casper.bounds, grid_resolution)
         self._queries: dict[object, _Query] = {}
         self._queries_of_user: dict[object, set[object]] = {}
         self._dirty: set[object] = set()
@@ -183,8 +188,9 @@ class ContinuousQueryMonitor:
         when its old or new cloak touches the query's ``A_EXT`` (a
         strictly-outside region can never hold or become a pessimistic
         filter: a region beating the current filter's max-distance lies
-        entirely inside the filter disc, hence inside ``A_EXT``), so the
-        same grid probe drives incrementality.
+        entirely inside the filter disc, hence inside ``A_EXT``), so a
+        probe of the buddy queries' own grid with the mover's old and new
+        stored regions drives incrementality.
         """
         return self._register(query_id, uid, "buddy", num_filters, 0.0)
 
@@ -268,7 +274,7 @@ class ContinuousQueryMonitor:
         )
         self._queries[query_id] = query
         self._queries_of_user.setdefault(uid, set()).add(query_id)
-        self._regions.insert(query_id, watch)
+        self._grid_of(kind).insert(query_id, watch)
         return candidates
 
     def _register_degraded(
@@ -296,15 +302,18 @@ class ContinuousQueryMonitor:
         )
         self._queries[query_id] = query
         self._queries_of_user.setdefault(uid, set()).add(query_id)
-        self._regions.insert(query_id, bounds)
+        self._grid_of(kind).insert(query_id, bounds)
         self._dirty.add(query_id)
         return candidates
 
     def deregister(self, query_id: object) -> None:
         query = self._queries.pop(query_id)
         self._queries_of_user[query.uid].discard(query_id)
-        self._regions.remove(query_id)
+        self._grid_of(query.kind).remove(query_id)
         self._dirty.discard(query_id)
+
+    def _grid_of(self, kind: str) -> GridIndex:
+        return self._buddy_regions if kind == "buddy" else self._regions
 
     # ------------------------------------------------------------------
     # Update notifications
@@ -351,7 +360,11 @@ class ContinuousQueryMonitor:
         stays inside its validity region — its stale candidate list is
         provably still exact there.  (The suppression counters are
         maintained by :meth:`flush`'s re-cloak scan, which sees each
-        query exactly once per flush.)"""
+        query exactly once per flush.)
+
+        An unchanged stored cloak (``old_region == new_region``) probes
+        no buddy query: the server does not even re-store an equal rect,
+        so the private data every buddy answer reads is untouched."""
         for query_id in self._queries_of_user.get(uid, ()):
             query = self._queries[query_id]
             if query.cloak == new_region:
@@ -361,12 +374,11 @@ class ContinuousQueryMonitor:
             ):
                 continue
             self._dirty.add(query_id)
+        if old_region == new_region or not self._buddy_regions:
+            return
         for probe in (old_region, new_region):
-            if probe is None:
-                continue
-            for query_id in self._regions.range_search(probe):
-                if self._queries[query_id].kind == "buddy":
-                    self._dirty.add(query_id)
+            if probe is not None:
+                self._dirty.update(self._buddy_regions.range_search(probe))
 
     def on_target_update(
         self,
@@ -375,7 +387,8 @@ class ContinuousQueryMonitor:
         old_position: Point | None = None,
     ) -> None:
         """Apply a public-target insert / move / delete and mark the
-        queries whose ``A_EXT`` the update touches."""
+        queries whose ``A_EXT`` the update touches.  Buddy queries read
+        private data only, so a target update never dirties one."""
         if old_position is None and oid in self.casper.server.public_index:
             old_position = self.casper.server.public_index.rect_of(oid).center
         if new_position is None:
@@ -507,7 +520,7 @@ class ContinuousQueryMonitor:
             query.answer = new_answer
             query.last_candidates = candidates
             if query.a_ext != watch:
-                self._regions.insert(query_id, watch)
+                self._grid_of(query.kind).insert(query_id, watch)
                 query.a_ext = watch
             if change.changed:
                 changes.append(change)

@@ -68,8 +68,16 @@ class LocationServer:
 
     def store_private(self, oid: object, region: Rect) -> None:
         """Store (or refresh) a private object's cloaked region — the
-        only location information the server ever sees for it."""
-        self.private_index.insert(oid, region)
+        only location information the server ever sees for it.
+
+        Re-storing the rect already stored is a no-op: no index work and
+        no new sequence number, so the private store is literally
+        unchanged (the continuous monitor relies on this to skip its
+        buddy probes for such a mover)."""
+        index = self.private_index
+        if oid in index and index.rect_of(oid) == region:
+            return
+        index.insert(oid, region)
 
     def store_private_bulk(self, entries: dict[object, Rect]) -> None:
         self.private_index.bulk_load(dict(entries))

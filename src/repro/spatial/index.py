@@ -50,8 +50,20 @@ class SpatialIndex(abc.ABC):
     # Mutation
     # ------------------------------------------------------------------
     def insert(self, oid: object, rect: Rect) -> None:
-        """Add an entry; replaces any existing entry with the same oid."""
-        if oid in self._entries:
+        """Add an entry; replaces any existing entry with the same oid.
+
+        A replacement first offers the structure an in-place update
+        (:meth:`_replace_impl`); either way the entry ends with a fresh
+        sequence number, exactly as a remove plus insert gives it.
+        """
+        old = self._entries.get(oid)
+        if old is not None:
+            if self._replace_impl(oid, old, rect):
+                # Re-add at the end, as a remove plus insert would.
+                del self._entries[oid]
+                self._entries[oid] = rect
+                self._assign_seq(oid)
+                return
             self.remove(oid)
         self._entries[oid] = rect
         self._assign_seq(oid)
@@ -180,6 +192,12 @@ class SpatialIndex(abc.ABC):
 
     @abc.abstractmethod
     def _remove_impl(self, oid: object, rect: Rect) -> None: ...
+
+    def _replace_impl(self, oid: object, old: Rect, new: Rect) -> bool:
+        """Move ``oid`` from ``old`` to ``new`` inside the structure, or
+        return ``False`` to fall back to a remove plus insert.  Called
+        before the base class's bookkeeping changes."""
+        return False
 
     @abc.abstractmethod
     def _clear_impl(self) -> None: ...

@@ -3,10 +3,11 @@
 This is the "traditional location-based database server" index that the
 privacy-aware query processor plugs into: Guttman-style insertion with
 quadratic node splitting, deletion with tree condensation and orphan
-re-insertion, Sort-Tile-Recursive (STR) packing for bulk loads, recursive
-range search, and best-first (priority queue) k-nearest-neighbor search
-using min-distance lower bounds — plus a branch-and-bound variant of the
-pessimistic max-distance NN needed for private filter selection.
+re-insertion, in-place (bottom-up) replacement of an entry that stays
+inside its leaf's MBR, Sort-Tile-Recursive (STR) packing for bulk loads,
+recursive range search, and best-first (priority queue) k-nearest-neighbor
+search using min-distance lower bounds — plus a branch-and-bound variant
+of the pessimistic max-distance NN needed for private filter selection.
 """
 
 from __future__ import annotations
@@ -44,17 +45,22 @@ class _Node:
         return [child.mbr for child in self.children if child.mbr is not None]
 
     def recompute_mbr(self) -> None:
-        rects = self.rects()
-        if not rects:
-            self.mbr = None
-            return
-        mbr = rects[0]
-        for rect in rects[1:]:
-            mbr = mbr.union(rect)
-        self.mbr = mbr
+        self.mbr = _union(self.rects())
 
     def count(self) -> int:
         return len(self.entries) if self.leaf else len(self.children)
+
+
+def _union(rects: list[Rect]) -> Rect | None:
+    """The minimum bounding rectangle of ``rects`` (``None`` for none)."""
+    if not rects:
+        return None
+    return Rect(
+        min(r.x_min for r in rects),
+        min(r.y_min for r in rects),
+        max(r.x_max for r in rects),
+        max(r.y_max for r in rects),
+    )
 
 
 def _enlargement(mbr: Rect, rect: Rect) -> float:
@@ -98,7 +104,6 @@ class RTreeIndex(SpatialIndex):
         leaf = self._choose_leaf(self._root, rect)
         leaf.entries.append((oid, rect))
         self._leaf_of[oid] = leaf
-        leaf.mbr = rect if leaf.mbr is None else leaf.mbr.union(rect)
         self._handle_overflow_and_adjust(leaf)
 
     def _remove_impl(self, oid: object, rect: Rect) -> None:
@@ -106,6 +111,31 @@ class RTreeIndex(SpatialIndex):
         leaf.entries = [(eid, erect) for eid, erect in leaf.entries if eid != oid]
         leaf.recompute_mbr()
         self._condense(leaf)
+
+    def _replace_impl(self, oid: object, old: Rect, new: Rect) -> bool:
+        """Bottom-up update (Lee et al., VLDB 2003): when ``new`` lies
+        inside the entry's current leaf MBR, swap the rect in place and
+        re-tighten the MBRs above it; the tree shape is unchanged.  Any
+        other move falls back to remove plus re-insert."""
+        leaf = self._leaf_of[oid]
+        mbr = leaf.mbr
+        assert mbr is not None
+        if not mbr.contains_rect(new, tol=0.0):
+            return False
+        entries = leaf.entries
+        for i, (eid, _rect) in enumerate(entries):
+            if eid == oid:
+                entries[i] = (oid, new)
+                break
+        # The leaf MBR can only shrink, and only if ``old`` touched it.
+        if (
+            old.x_min == mbr.x_min
+            or old.y_min == mbr.y_min
+            or old.x_max == mbr.x_max
+            or old.y_max == mbr.y_max
+        ):
+            self._tighten_upward(leaf)
+        return True
 
     def bulk_load(self, entries: dict[object, Rect]) -> None:
         """Pack ``entries`` with Sort-Tile-Recursive for a near-optimal tree."""
@@ -181,9 +211,16 @@ class RTreeIndex(SpatialIndex):
             if node is None:
                 return
 
-    def _tighten_upward(self, node: _Node) -> None:
+    def _tighten_upward(self, node: _Node | None) -> None:
+        """Recompute MBRs from ``node`` upward, stopping at the first
+        node whose MBR did not change: its ancestors are then tight.
+        Callers must leave ``node``'s stale MBR in place for the
+        comparison."""
         while node is not None:
+            before = node.mbr
             node.recompute_mbr()
+            if node.mbr == before:
+                return
             node = node.parent
 
     def _split(self, node: _Node) -> None:
@@ -267,9 +304,10 @@ class RTreeIndex(SpatialIndex):
             new_root.recompute_mbr()
             self._root = new_root
         else:
+            # The parent's MBR is left stale on purpose: the caller's
+            # split-or-tighten loop recomputes it from here upward.
             parent.children.append(sibling)
             sibling.parent = parent
-            parent.recompute_mbr()
 
     def _condense(self, node: _Node) -> None:
         """Remove underfull nodes bottom-up, re-inserting orphans."""
@@ -411,6 +449,10 @@ class RTreeIndex(SpatialIndex):
     def check_invariants(self, strict_fill: bool = False) -> None:
         """Assert structural R-tree invariants; raises AssertionError.
 
+        Every MBR must *equal* the union of its contents, not just cover
+        it: the in-place replace is the one write that can shrink an
+        entry without a remove, so a stale, too-loose MBR shows up here.
+
         ``strict_fill`` additionally enforces the ``min_entries`` fill
         factor, which holds after pure dynamic insertion but not after an
         STR bulk load (the tail node of each tile may be underfull — that
@@ -428,14 +470,14 @@ class RTreeIndex(SpatialIndex):
                 for oid, rect in node.entries:
                     assert oid not in seen, f"duplicate oid {oid!r}"
                     seen.add(oid)
-                    assert node.mbr.contains_rect(rect), "leaf MBR too small"
                     assert self._leaf_of[oid] is node, "leaf_of map stale"
+                assert node.mbr == _union(node.rects()), "leaf MBR not tight"
                 return depth
             depths = set()
             for child in node.children:
                 assert child.parent is node, "broken parent link"
-                assert node.mbr.contains_rect(child.mbr), "node MBR too small"
                 depths.add(visit(child, depth + 1, False))
+            assert node.mbr == _union(node.rects()), "node MBR not tight"
             assert len(depths) == 1, "leaves at different depths"
             return depths.pop()
 

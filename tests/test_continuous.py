@@ -196,6 +196,69 @@ class TestBuddyQueries:
         assert monitor.answer_of("b") == frozenset(fresh.oids())
         assert 79 in monitor.answer_of("b")
 
+    def test_buddy_answers_exact_under_mostly_unchanged_cloaks(self, rng):
+        """Dense population, small steps: most moves keep the stored
+        cloak, so the server skips the write and the monitor skips its
+        buddy probes.  Every buddy answer still equals a fresh
+        ``nn_private`` after every flush."""
+        casper, monitor = build(rng, num_users=600, num_targets=50)
+        buddies = list(range(0, 600, 40))
+        for uid in buddies:
+            monitor.register_buddy(f"b-{uid}", uid)
+        monitor.register_nn("nn-1", 1)
+        private = casper.server.private_index
+        kept = moves = 0
+        for _tick in range(15):
+            movers = [int(u) for u in rng.choice(600, size=60, replace=False)]
+            batch = []
+            for uid in movers:
+                at = casper.anonymizer.location_of(uid)
+                step = rng.normal(0.0, 0.002, 2)
+                batch.append((uid, Point(
+                    float(np.clip(at.x + step[0], 0.0, 1.0)),
+                    float(np.clip(at.y + step[1], 0.0, 1.0)),
+                )))
+            before = {uid: private.rect_of(uid) for uid in movers}
+            monitor.on_users_moved(batch)
+            kept += sum(private.rect_of(uid) == before[uid] for uid in movers)
+            moves += len(movers)
+            monitor.flush()
+            for uid in buddies:
+                cloak = casper.anonymizer.cloak(uid)
+                fresh = casper.server.nn_private(cloak.region, 4, exclude=uid)
+                assert monitor.answer_of(f"b-{uid}") == frozenset(fresh.oids())
+        assert kept > moves / 2
+
+    def test_equal_rect_store_is_a_no_op(self, rng):
+        casper, _monitor = build(rng, num_users=80, num_targets=10)
+        private = casper.server.private_index
+        region = private.rect_of(7)
+        seq = private._seq[7]
+        order = [oid for oid, _rect in private.items()]
+        casper.server.store_private(7, region)
+        assert private.rect_of(7) == region
+        assert private._seq[7] == seq
+        assert [oid for oid, _rect in private.items()] == order
+        # A different rect is a real write with a fresh sequence number.
+        other = Rect(0.0, 0.0, 0.5, 0.5)
+        assert other != region
+        casper.server.store_private(7, other)
+        assert private.rect_of(7) == other
+        assert private._seq[7] > seq
+
+    def test_target_moves_never_dirty_buddy_queries(self, rng):
+        casper, monitor = build(rng, num_users=120, num_targets=60)
+        initial = [monitor.register_buddy(f"b-{uid}", uid) for uid in range(5)]
+        monitor.flush()
+        evaluations = monitor.counters["evaluations"]
+        # Public targets move in and out of every buddy query's A_EXT.
+        for i, candidates in enumerate(initial):
+            monitor.on_target_update(f"t{i}", candidates.search_region.center)
+            monitor.on_target_update(f"new-{i}", candidates.search_region.center)
+        monitor.on_target_update("t10", None)
+        assert monitor.flush() == []
+        assert monitor.counters["evaluations"] == evaluations
+
     def test_mark_all_dirty_after_out_of_band_change(self, rng):
         casper, monitor = build(rng, num_users=80, num_targets=40)
         monitor.register_buddy("b", 0)

@@ -8,13 +8,19 @@ These are the gate tests the CI lint job mirrors:
 * the privacy boundary actually trips: a hypothetical exact-location
   import inside ``repro.processor`` is caught by CSP001, both directly
   and through a trusted helper module.
+
+The tests that lint the unmodified repository share one parsed project
+and one lint result (module-scoped fixtures); each injection test still
+parses a fresh project, since it adds a virtual module to it.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import Baseline, LintConfig, Project, run_lint
+import pytest
+
+from repro.analysis import Baseline, LintConfig, LintResult, Project, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,27 +33,36 @@ def repo_config() -> LintConfig:
     return LintConfig.from_pyproject(REPO_ROOT)
 
 
-def test_repo_is_clean_under_default_config() -> None:
-    result = run_lint(repo_project(), repo_config())
+@pytest.fixture(scope="module")
+def shared_project() -> Project:
+    """The unmodified repository, parsed once for this module."""
+    return repo_project()
+
+
+@pytest.fixture(scope="module")
+def repo_lint(shared_project: Project) -> LintResult:
+    """The default-config lint of the unmodified repository, run once."""
+    return run_lint(shared_project, repo_config())
+
+
+def test_repo_is_clean_under_default_config(repo_lint: LintResult) -> None:
     baseline = Baseline.load(REPO_ROOT / repo_config().baseline_path)
-    match = baseline.match(result.findings)
+    match = baseline.match(repo_lint.findings)
     assert match.new == [], "\n".join(
         f"{f.path}:{f.line} {f.rule} {f.message}" for f in match.new
     )
 
 
-def test_committed_baseline_has_no_stale_entries() -> None:
-    result = run_lint(repo_project(), repo_config())
+def test_committed_baseline_has_no_stale_entries(repo_lint: LintResult) -> None:
     baseline = Baseline.load(REPO_ROOT / repo_config().baseline_path)
-    match = baseline.match(result.findings)
+    match = baseline.match(repo_lint.findings)
     assert match.stale == []
 
 
-def test_repo_scan_covers_the_package_and_tools() -> None:
-    project = repo_project()
-    assert "repro.processor.knn" in project.modules
-    assert "repro.anonymizer.basic" in project.modules
-    assert "tools.bench" in project.modules
+def test_repo_scan_covers_the_package_and_tools(shared_project: Project) -> None:
+    assert "repro.processor.knn" in shared_project.modules
+    assert "repro.anonymizer.basic" in shared_project.modules
+    assert "tools.bench" in shared_project.modules
 
 
 def test_injected_exact_location_import_is_caught() -> None:
@@ -123,7 +138,7 @@ def test_safe_names_still_cross_the_boundary() -> None:
     )
 
 
-def test_facade_suppression_is_justified_and_unique() -> None:
+def test_facade_suppression_is_justified_and_unique(repo_lint: LintResult) -> None:
     """Exactly twelve inline suppressions exist in the tree: three
     CSP001 in the Casper facade (the trusted anonymizer wiring, the
     sharded runtime, and the typing-only resilience-runtime import),
@@ -138,8 +153,7 @@ def test_facade_suppression_is_justified_and_unique() -> None:
     table is asserted to be a *bit-copy* of the user records —
     epsilon-tolerant comparison would mask exactly the drift the audit
     exists to catch)."""
-    result = run_lint(repo_project(), repo_config())
-    assert result.suppressed == 12
+    assert repo_lint.suppressed == 12
     facade = (REPO_ROOT / "src/repro/server/casper.py").read_text()
     assert facade.count("casperlint: ignore[CSP001] trusted facade") == 3
     workers = (REPO_ROOT / "src/repro/sharding/workers.py").read_text()
@@ -152,20 +166,19 @@ def test_facade_suppression_is_justified_and_unique() -> None:
     assert sharded.count("casperlint: ignore[CSP004] bit-copy audit") == 3
 
 
-def test_repo_is_clean_under_the_dataflow_rules() -> None:
+def test_repo_is_clean_under_the_dataflow_rules(repo_lint: LintResult) -> None:
     """ISSUE acceptance: CSP009-CSP013 run repo-clean (findings fixed,
     never baselined) and actually analyzed the parallel runtime."""
     config = repo_config()
-    result = run_lint(repo_project(), config)
     assert not any(
-        f.rule in config.never_baseline for f in result.findings
+        f.rule in config.never_baseline for f in repo_lint.findings
     ), "\n".join(
         f"{f.path}:{f.line} {f.rule} {f.message}"
-        for f in result.findings
+        for f in repo_lint.findings
         if f.rule in config.never_baseline
     )
     assert {"CSP009", "CSP010", "CSP011", "CSP012", "CSP013"} <= set(
-        result.rules_run
+        repo_lint.rules_run
     )
 
 
@@ -218,11 +231,11 @@ def test_injected_dead_opcode_is_caught() -> None:
     )
 
 
-def test_spatial_indexes_satisfy_the_contract_rule() -> None:
+def test_spatial_indexes_satisfy_the_contract_rule(
+    shared_project: Project, repo_lint: LintResult
+) -> None:
     """CSP003 sees every concrete index and none violates the contract."""
-    project = repo_project()
-    result = run_lint(project, repo_config())
-    assert not any(f.rule == "CSP003" for f in result.findings)
+    assert not any(f.rule == "CSP003" for f in repo_lint.findings)
     # sanity: the rule is not trivially passing because it found no classes
     import ast
 
@@ -234,7 +247,7 @@ def test_spatial_indexes_satisfy_the_contract_rule() -> None:
         "repro.spatial.kdtree",
         "repro.spatial.bruteforce",
     ):
-        info = project.modules[name]
+        info = shared_project.modules[name]
         for node in ast.walk(info.tree):
             if isinstance(node, ast.ClassDef) and any(
                 getattr(b, "id", None) == "SpatialIndex" for b in node.bases

@@ -12,25 +12,76 @@ from repro.spatial import BruteForceIndex, RTreeIndex
 from tests.conftest import random_points, random_rects
 
 
+def sub_rect(rng, outer: Rect) -> Rect:
+    """A random rect inside ``outer``."""
+    xs = sorted(rng.uniform(outer.x_min, outer.x_max, 2).tolist())
+    ys = sorted(rng.uniform(outer.y_min, outer.y_max, 2).tolist())
+    # uniform() may round up to the open upper end; clamp it.
+    x0, x1 = (min(x, outer.x_max) for x in xs)
+    y0, y1 = (min(y, outer.y_max) for y in ys)
+    return Rect(x0, y0, x1, y1)
+
+
+def nudged_rect(rtree: RTreeIndex, oid: object, rng) -> Rect:
+    """A new rect for ``oid`` inside its current leaf's MBR, so that
+    ``insert`` takes the in-place replace path: the rect shrunk, shifted
+    within the MBR, or snapped onto a leaf sibling's rect (a tie)."""
+    leaf = rtree._leaf_of[oid]
+    roll = rng.random()
+    if roll < 1 / 3:
+        return sub_rect(rng, rtree.rect_of(oid))
+    if roll < 2 / 3:
+        return sub_rect(rng, leaf.mbr)
+    _sibling, rect = leaf.entries[int(rng.integers(len(leaf.entries)))]
+    return rect
+
+
+def assert_matches_oracle(rtree: RTreeIndex, oracle: BruteForceIndex, rng) -> None:
+    """kNN, max-distance kNN (both in exact tie order) and range answers
+    all equal the brute-force oracle's."""
+    k = min(5, len(oracle))
+    q = Point(float(rng.random()), float(rng.random()))
+    assert rtree.k_nearest(q, k) == oracle.k_nearest(q, k)
+    assert rtree.k_nearest_by_max_distance(q, k) == oracle.k_nearest_by_max_distance(
+        q, k
+    )
+    region = Rect.from_center(q, 0.3, 0.3)
+    assert set(rtree.range_search(region)) == set(oracle.range_search(region))
+
+
 class TestRTreeStress:
     def test_interleaved_ops_match_oracle(self, rng):
         rtree = RTreeIndex(max_entries=5)
         oracle = BruteForceIndex()
         live = set()
         next_id = 0
+        nudges = 0
         for step in range(1200):
             roll = rng.random()
-            if roll < 0.55 or not live:
+            if roll < 0.5 or not live:
                 r = random_rects(rng, 1, max_side=0.05)[0]
                 rtree.insert(next_id, r)
                 oracle.insert(next_id, r)
                 live.add(next_id)
                 next_id += 1
-            elif roll < 0.85:
+            elif roll < 0.75:
                 victim = int(rng.choice(list(live)))
                 rtree.remove(victim)
                 oracle.remove(victim)
                 live.discard(victim)
+            elif roll < 0.9:
+                # Nudge: the new rect stays inside the leaf MBR, so the
+                # entry is replaced in place, in the same leaf.
+                victim = int(rng.choice(list(live)))
+                leaf = rtree._leaf_of[victim]
+                r = nudged_rect(rtree, victim, rng)
+                rtree.insert(victim, r)
+                oracle.insert(victim, r)
+                assert rtree._leaf_of[victim] is leaf
+                nudges += 1
+                if nudges % 10 == 0:
+                    rtree.check_invariants()
+                    assert_matches_oracle(rtree, oracle, rng)
             else:
                 # Move (reinsert with the same id).
                 victim = int(rng.choice(list(live)))
@@ -39,11 +90,47 @@ class TestRTreeStress:
                 oracle.insert(victim, r)
             if step % 200 == 0:
                 rtree.check_invariants()
-                q = Point(float(rng.random()), float(rng.random()))
-                assert rtree.k_nearest(q, 5) == oracle.k_nearest(q, 5)
+                assert_matches_oracle(rtree, oracle, rng)
+        assert nudges > 100
         rtree.check_invariants()
+        assert_matches_oracle(rtree, oracle, rng)
         region = Rect(0.25, 0.25, 0.75, 0.75)
         assert set(rtree.range_search(region)) == set(oracle.range_search(region))
+
+    def test_nudge_takes_a_fresh_sequence_number(self):
+        """An in-place replace ranks the entry last among exact ties,
+        exactly as a remove plus insert would."""
+        rtree = RTreeIndex(max_entries=4)
+        oracle = BruteForceIndex()
+        same = Rect(0.4, 0.4, 0.5, 0.5)
+        for i in range(12):
+            rtree.insert(i, same)
+            oracle.insert(i, same)
+        leaf = rtree._leaf_of[5]
+        rtree.insert(5, same)
+        oracle.insert(5, same)
+        assert rtree._leaf_of[5] is leaf
+        q = Point(0.1, 0.9)
+        assert rtree.k_nearest(q, 12) == oracle.k_nearest(q, 12)
+        assert rtree.k_nearest(q, 12)[-1] == 5
+        assert rtree.k_nearest_by_max_distance(q, 12) == (
+            oracle.k_nearest_by_max_distance(q, 12)
+        )
+        assert rtree.k_nearest_by_max_distance(q, 12)[-1] == 5
+        rtree.check_invariants()
+
+    def test_nudge_shrinks_mbrs_to_the_exact_union(self):
+        """Shrinking the entry that defined a leaf's MBR re-tightens the
+        MBRs above it (``check_invariants`` demands exact unions)."""
+        rtree = RTreeIndex(max_entries=4)
+        for i in range(40):
+            rtree.insert_point(i, Point(0.02 * i + 0.1, 0.5))
+        rtree.insert("wide", Rect(0.1, 0.1, 0.9, 0.9))
+        leaf = rtree._leaf_of["wide"]
+        rtree.insert("wide", Rect(0.45, 0.45, 0.5, 0.5))
+        assert rtree._leaf_of["wide"] is leaf
+        rtree.check_invariants()
+        assert rtree._root.mbr == Rect(0.1, 0.45, 0.88, 0.5)
 
     def test_drain_to_empty_and_refill(self, rng):
         rtree = RTreeIndex(max_entries=4)
@@ -125,7 +212,7 @@ class TestRTreeStress:
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["insert", "remove"]),
+            st.sampled_from(["insert", "remove", "nudge"]),
             st.floats(0, 1, allow_nan=False),
             st.floats(0, 1, allow_nan=False),
         ),
@@ -144,13 +231,30 @@ def test_property_rtree_vs_oracle_under_op_sequences(ops):
             oracle.insert_point(next_id, Point(x, y))
             live.append(next_id)
             next_id += 1
-        else:
+        elif op == "remove":
             victim = live.pop(int(x * len(live)) % len(live))
             rtree.remove(victim)
             oracle.remove(victim)
+        else:
+            # Nudge: a point inside the victim's leaf MBR (the in-place
+            # replace path); coincident points make exact ties.
+            victim = live[int(x * len(live)) % len(live)]
+            leaf = rtree._leaf_of[victim]
+            mbr = leaf.mbr
+            p = Point(
+                min(mbr.x_min + y * mbr.width, mbr.x_max),
+                min(mbr.y_min + (1 - y) * mbr.height, mbr.y_max),
+            )
+            rtree.insert_point(victim, p)
+            oracle.insert_point(victim, p)
+            assert rtree._leaf_of[victim] is leaf
     rtree.check_invariants()
     if live:
-        q = Point(0.5, 0.5)
-        assert rtree.k_nearest(q, min(3, len(live))) == oracle.k_nearest(
-            q, min(3, len(live))
-        )
+        k = min(3, len(live))
+        for q in (Point(0.5, 0.5), Point(0.0, 0.0)):
+            assert rtree.k_nearest(q, k) == oracle.k_nearest(q, k)
+            assert rtree.k_nearest_by_max_distance(q, k) == (
+                oracle.k_nearest_by_max_distance(q, k)
+            )
+        region = Rect(0.25, 0.25, 0.75, 0.75)
+        assert set(rtree.range_search(region)) == set(oracle.range_search(region))
